@@ -256,13 +256,13 @@ func TestTableFormat(t *testing.T) {
 		Rows: []Row{
 			{Circuit: "c1", Cells: 3, Minimize: "mu", Mu: 1.5, Sigma: 0.25, SumS: 3},
 			{Circuit: "c1", Cells: 3, Minimize: "sum(Si)", Constraint: "mu <= 2",
-				Mu: 2, Sigma: 0.3, SumS: 4, HasCPU: true},
+				Mu: 2, Sigma: 0.3, SumS: 4, HasCPU: true, Status: "stalled", KKT: 1.9e-3},
 		},
 	}
 	var buf bytes.Buffer
 	tbl.Format(&buf)
 	out := buf.String()
-	for _, want := range []string{"c1", "mu <= 2", "1.50", "0.250"} {
+	for _, want := range []string{"c1", "mu <= 2", "1.50", "0.250", "status", "KKT", "stalled", "1.9e-03"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("formatted table missing %q:\n%s", want, out)
 		}
@@ -286,12 +286,14 @@ func TestYieldFormat(t *testing.T) {
 
 func TestTable3Format(t *testing.T) {
 	res := &Table3Result{MuFixed: 6.5, Rows: []FactorRow{
-		{Objective: "min area", S: [7]float64{1, 2, 3, 4, 5, 6, 7}},
+		{Objective: "min area", S: [7]float64{1, 2, 3, 4, 5, 6, 7}, Status: "converged", KKT: 3.3e-6},
 	}}
 	var buf bytes.Buffer
 	res.Format(&buf)
-	if !strings.Contains(buf.String(), "min area") || !strings.Contains(buf.String(), "SG") {
-		t.Errorf("table3 format:\n%s", buf.String())
+	out := buf.String()
+	if !strings.Contains(out, "min area") || !strings.Contains(out, "SG") ||
+		!strings.Contains(out, "converged") || !strings.Contains(out, "3.3e-06") {
+		t.Errorf("table3 format:\n%s", out)
 	}
 }
 

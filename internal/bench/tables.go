@@ -24,7 +24,20 @@ type Row struct {
 	SumS       float64
 	CPU        time.Duration
 	HasCPU     bool
-	Status     string
+	// Status is the solver's final status ("unsized" for the
+	// baseline row) and KKT its final projected-gradient norm
+	// (nlp.Result.ProjGradNorm); both print next to CPU on solved
+	// rows.
+	Status string
+	KKT    float64
+}
+
+// solvedRow fills r's result columns from a sizing outcome.
+func solvedRow(r Row, out *sizing.Outcome) Row {
+	r.Mu, r.Sigma, r.SumS = out.MuTmax, out.SigmaTmax, out.SumS
+	r.CPU, r.HasCPU = out.Runtime, true
+	r.Status, r.KKT = out.Solver.Status.String(), out.Solver.ProjGradNorm
+	return r
 }
 
 // Table is a named list of rows with the paper's columns.
@@ -40,8 +53,8 @@ func (t *Table) Format(w io.Writer) {
 	if t.Note != "" {
 		fmt.Fprintf(w, "%s\n", t.Note)
 	}
-	fmt.Fprintf(w, "%-12s %6s  %-16s %-22s %10s %8s %9s %12s\n",
-		"name", "#cells", "minimize", "constraint", "muTmax", "sigma", "sum(Si)", "CPU")
+	fmt.Fprintf(w, "%-12s %6s  %-16s %-22s %10s %8s %9s %12s  %-14s %8s\n",
+		"name", "#cells", "minimize", "constraint", "muTmax", "sigma", "sum(Si)", "CPU", "status", "KKT")
 	prevCircuit := ""
 	for _, r := range t.Rows {
 		name, cells := r.Circuit, fmt.Sprintf("%d", r.Cells)
@@ -49,12 +62,14 @@ func (t *Table) Format(w io.Writer) {
 			name, cells = "", ""
 		}
 		prevCircuit = r.Circuit
-		cpu := ""
+		cpu, kkt := "", ""
 		if r.HasCPU {
 			cpu = r.CPU.Round(time.Millisecond).String()
+			kkt = fmt.Sprintf("%.1e", r.KKT)
 		}
-		fmt.Fprintf(w, "%-12s %6s  %-16s %-22s %10.2f %8.3f %9.2f %12s\n",
-			name, cells, r.Minimize, r.Constraint, r.Mu, r.Sigma, r.SumS, cpu)
+		line := fmt.Sprintf("%-12s %6s  %-16s %-22s %10.2f %8.3f %9.2f %12s  %-14s %8s",
+			name, cells, r.Minimize, r.Constraint, r.Mu, r.Sigma, r.SumS, cpu, r.Status, kkt)
+		fmt.Fprintln(w, strings.TrimRight(line, " "))
 	}
 	fmt.Fprintln(w)
 }
@@ -126,12 +141,10 @@ func RunTable1(cases []CircuitCase, logf func(string, ...any)) (*Table, error) {
 					cc.Name, sizing.MinMuPlusKSigma(k), out.MuTmax, out.SigmaTmax,
 					out.SumS, out.Runtime.Round(time.Millisecond), out.Solver.Status)
 			}
-			t.Rows = append(t.Rows, Row{
+			t.Rows = append(t.Rows, solvedRow(Row{
 				Circuit: cc.Name, Cells: cells,
 				Minimize: sizing.MinMuPlusKSigma(k).String(),
-				Mu:       out.MuTmax, Sigma: out.SigmaTmax, SumS: out.SumS,
-				CPU: out.Runtime, HasCPU: true, Status: out.Solver.Status.String(),
-			})
+			}, out))
 			if k == 3 {
 				best3 = out.MuTmax + 3*out.SigmaTmax
 			}
@@ -155,12 +168,10 @@ func RunTable1(cases []CircuitCase, logf func(string, ...any)) (*Table, error) {
 					cc.Name, con, out.MuTmax, out.SigmaTmax, out.SumS,
 					out.Runtime.Round(time.Millisecond), out.Solver.Status)
 			}
-			t.Rows = append(t.Rows, Row{
+			t.Rows = append(t.Rows, solvedRow(Row{
 				Circuit: cc.Name, Cells: cells,
 				Minimize: "sum(Si)", Constraint: con.String(),
-				Mu: out.MuTmax, Sigma: out.SigmaTmax, SumS: out.SumS,
-				CPU: out.Runtime, HasCPU: true, Status: out.Solver.Status.String(),
-			})
+			}, out))
 		}
 	}
 	return t, nil
@@ -184,11 +195,7 @@ func RunTable2() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.Rows = append(t.Rows, Row{
-		Circuit: "tree7", Cells: 7, Minimize: "mu",
-		Mu: fast.MuTmax, Sigma: fast.SigmaTmax, SumS: fast.SumS,
-		CPU: fast.Runtime, HasCPU: true, Status: fast.Solver.Status.String(),
-	})
+	t.Rows = append(t.Rows, solvedRow(Row{Circuit: "tree7", Cells: 7, Minimize: "mu"}, fast))
 	for _, d := range []float64{5.8, 6.5, 7.2} {
 		for _, obj := range []sizing.Objective{
 			sizing.MinArea(), sizing.MinSigma(), sizing.MaxSigma(),
@@ -201,12 +208,10 @@ func RunTable2() (*Table, error) {
 			if err != nil {
 				return nil, fmt.Errorf("tree %v at mu=%v: %w", obj, d, err)
 			}
-			t.Rows = append(t.Rows, Row{
+			t.Rows = append(t.Rows, solvedRow(Row{
 				Circuit: "tree7", Cells: 7,
 				Minimize: obj.String(), Constraint: sizing.MuEQ(d).String(),
-				Mu: out.MuTmax, Sigma: out.SigmaTmax, SumS: out.SumS,
-				CPU: out.Runtime, HasCPU: true, Status: out.Solver.Status.String(),
-			})
+			}, out))
 		}
 	}
 	return t, nil
@@ -216,6 +221,10 @@ func RunTable2() (*Table, error) {
 type FactorRow struct {
 	Objective string
 	S         [7]float64 // A, B, C, D, E, F, G
+	// Status and KKT are the solve's final status and projected-
+	// gradient norm, as in Row.
+	Status string
+	KKT    float64
 }
 
 // Table3Result holds the Table 3 reproduction.
@@ -232,13 +241,13 @@ func (t *Table3Result) Format(w io.Writer) {
 	for _, n := range [7]string{"SA", "SB", "SC", "SD", "SE", "SF", "SG"} {
 		fmt.Fprintf(w, " %6s", n)
 	}
-	fmt.Fprintln(w)
+	fmt.Fprintf(w, "  %-14s %8s\n", "status", "KKT")
 	for _, r := range t.Rows {
 		fmt.Fprintf(w, "%-12s", r.Objective)
 		for _, s := range r.S {
 			fmt.Fprintf(w, " %6.2f", s)
 		}
-		fmt.Fprintln(w)
+		fmt.Fprintf(w, "  %-14s %8.1e\n", r.Status, r.KKT)
 	}
 	fmt.Fprintln(w)
 }
@@ -262,7 +271,10 @@ func RunTable3() (*Table3Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table3 %v: %w", obj, err)
 		}
-		row := FactorRow{Objective: obj.String()}
+		row := FactorRow{
+			Objective: obj.String(),
+			Status:    out.Solver.Status.String(), KKT: out.Solver.ProjGradNorm,
+		}
 		for i, n := range names {
 			row.S[i] = out.S[m.G.C.MustID(n)]
 		}

@@ -29,7 +29,9 @@ import (
 //     bit-for-bit identical for every worker count.
 //
 // All element scratch lives in a handful of []float64 slabs allocated
-// once at engine construction and reused for the life of the solve:
+// once and reused for the life of the solve — at engine construction,
+// except the Hessian slab, which the first Hessian-cache build
+// allocates so first-order solves never hold it:
 // steady-state merit, gradient, Hessian-cache and Hessian-vector
 // evaluation performs zero heap allocations (pinned by
 // TestMeritSteadyStateAllocs / TestHessVecSteadyStateAllocs).
@@ -116,7 +118,8 @@ type engine struct {
 	slabLG []float64 // cached constraint gradients (rank-one terms)
 	slabV  []float64 // hessVec masked local input
 	slabHV []float64 // hessVec per-element contributions
-	slabH  []float64 // cached local Hessian blocks
+	slabH  []float64 // cached local Hessian blocks; nil until allocHess
+	sumH   int       // slabH's length
 
 	// Dispatch state, written by the coordinator before the barrier
 	// opens and read-only for workers during a phase.
@@ -193,18 +196,7 @@ func newEngine(p *Problem, st *almState, workers int) *engine {
 	e.slabLG = make([]float64, sumN)
 	e.slabV = make([]float64, sumN)
 	e.slabHV = make([]float64, sumN)
-	e.slabH = make([]float64, sumH)
-	for i := range e.refs {
-		r := &e.refs[i]
-		if r.hOff < 0 {
-			continue
-		}
-		r.rows = make([][]float64, r.n)
-		for j := 0; j < r.n; j++ {
-			lo := r.hOff + j*r.n
-			r.rows[j] = e.slabH[lo : lo+r.n]
-		}
-	}
+	e.sumH = sumH
 
 	w := resolveWorkers(workers)
 	if w > 1 && len(e.refs) >= engineMinElements {
@@ -225,6 +217,25 @@ func newEngine(p *Problem, st *almState, workers int) *engine {
 		}
 	}
 	return e
+}
+
+// allocHess allocates the Hessian slab and the per-element row views
+// into it. Only the second-order cache reads them, so the first
+// modeHessCache dispatch pays for them: a first-order solve never
+// holds the n^2 block of a dense element such as the area objective.
+func (e *engine) allocHess() {
+	e.slabH = make([]float64, e.sumH) // non-nil even when empty
+	for i := range e.refs {
+		r := &e.refs[i]
+		if r.hOff < 0 {
+			continue
+		}
+		r.rows = make([][]float64, r.n)
+		for j := 0; j < r.n; j++ {
+			lo := r.hOff + j*r.n
+			r.rows[j] = e.slabH[lo : lo+r.n]
+		}
+	}
 }
 
 // worker drains chunk indices until close() shuts the channel.
@@ -256,6 +267,9 @@ func (e *engine) close() {
 // with or without a recorder; with one, the only extra hot-path work
 // is the clock reads bracketing the phase.
 func (e *engine) dispatch(mode engineMode) {
+	if mode == modeHessCache && e.slabH == nil {
+		e.allocHess()
+	}
 	e.mode = mode
 	e.nDispatch[mode]++
 	var start time.Time

@@ -303,3 +303,67 @@ func TestObjEvalsCounted(t *testing.T) {
 		t.Errorf("FuncEvals = %d suspiciously low for %d outer iterations", r.FuncEvals, r.Outer)
 	}
 }
+
+// TestFirstOrderSolveSkipsHessianSlab pins the lazy Hessian slab: the
+// area objective is one LinearElement over every variable, whose dense
+// local Hessian block is n^2 floats (32 MB at n = 2000). An L-BFGS
+// solve never builds the second-order cache, so it must never allocate
+// that block; the first Hessian-cache build does.
+func TestFirstOrderSolveSkipsHessianSlab(t *testing.T) {
+	const n = 2000
+	vars := make([]int, n)
+	ones := make([]float64, n)
+	neg := make([]float64, n)
+	lower := make([]float64, n)
+	upper := make([]float64, n)
+	for i := range vars {
+		vars[i] = i
+		ones[i] = 1 + 0.001*float64(i%7)
+		neg[i] = -1
+		lower[i], upper[i] = 1, 3
+	}
+	p := &Problem{
+		N: n, Lower: lower, Upper: upper,
+		Objective: []Element{LinearElement(vars, ones, 0)},
+		IneqCons:  []Constraint{{Name: "sum", El: LinearElement(vars, neg, 2500)}},
+	}
+	slab := uint64(n * n * 8)
+
+	st := newTestState(p, 1)
+	x := testPoint(n, 0.3)
+	g := make([]float64, n)
+	for i := 0; i < 3; i++ {
+		st.merit(x, g)
+	}
+	if st.eng.slabH != nil {
+		t.Fatalf("merit/gradient dispatches allocated the %d-float Hessian slab", len(st.eng.slabH))
+	}
+
+	x0 := make([]float64, n)
+	for i := range x0 {
+		x0[i] = 2
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	r, err := Solve(p, x0, Options{Method: LBFGS, Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= slab/2 {
+		t.Errorf("L-BFGS solve (%v) allocated %d bytes, want well under the %d-byte Hessian slab",
+			r.Status, got, slab)
+	}
+
+	// A Newton rung pays for the slab at its first cache build.
+	small := chainProblem(40)
+	ns := newTestState(small, 1)
+	if ns.eng.slabH != nil {
+		t.Fatal("engine construction allocated the Hessian slab")
+	}
+	ns.eng.x = testPoint(40, 0.1)
+	ns.eng.dispatch(modeHessCache)
+	if ns.eng.slabH == nil {
+		t.Fatal("Hessian-cache build left the slab unallocated")
+	}
+}

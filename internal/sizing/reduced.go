@@ -4,53 +4,100 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync"
+	"time"
 
 	"repro/internal/delay"
 	"repro/internal/netlist"
 	"repro/internal/nlp"
 	"repro/internal/ssta"
+	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
 
-// reducedEval adapts the SSTA forward/adjoint sweeps to nlp.Element
+// reducedEval adapts one persistent ssta.Hier engine to nlp.Element
 // callbacks. The problem variables are the speed factors of the gates
-// in dense order. Each element owns a private full-length S scratch
-// buffer (passed explicitly to the helpers below), which makes every
-// Eval/Grad a pure function of its local point: the NLP engine may
-// evaluate distinct elements concurrently when nlp.Options.Workers
-// permits.
+// in dense order. Every element of one reduced problem shares the
+// engine, so the tape-reuse contract is:
+//
+//   - Eval moves the engine to the point (SetSize per gate, then one
+//     taped, allocation-free Update) and reads the circuit delay
+//     moments. At a point whose bits match the engine's sizes this
+//     is a no-op, so elements evaluated at the same point — the sigma
+//     objective and the mu constraint of Tables 2/3 — share one sweep.
+//   - Grad repeats that SetSize pass (a no-op after the matching
+//     Eval) and runs only the adjoint sweep on the standing tape.
+//
+// Both results are bit-identical to a fresh serial ssta.Analyze plus
+// Backward at the point, whatever point the engine held before. The
+// NLP engine may evaluate distinct elements concurrently, so access
+// to the shared engine goes through mu; the reduced problem has only
+// a few elements, so the lock is uncontended in practice.
 type reducedEval struct {
 	m       *delay.Model
 	gates   []netlist.NodeID
 	workers int
-	// rec aggregates sweep spans ("ssta.forward"/"ssta.adjoint"); the
-	// metrics sinks are concurrency-safe, so recording stays correct
-	// when the NLP engine evaluates distinct elements in parallel.
+	// rec aggregates sweep spans ("ssta.forward"/"ssta.adjoint"). A
+	// forward sweep is recorded only when the evaluated point moved
+	// the engine, so ssta.forward_sweeps counts evaluated points.
 	rec telemetry.Recorder
+
+	mu sync.Mutex
+	h  *ssta.Hier // built at the first evaluated point
 }
 
-func (re *reducedEval) setS(S, x []float64) {
-	for i, id := range re.gates {
-		S[id] = x[i]
+// at moves the engine to the dense point x and returns the circuit
+// delay moments there. The caller holds re.mu.
+func (re *reducedEval) at(x []float64) stats.MV {
+	var t0 time.Time
+	if re.rec != nil {
+		t0 = time.Now()
 	}
+	if re.h == nil {
+		S := re.m.UnitSizes()
+		for i, id := range re.gates {
+			S[id] = x[i]
+		}
+		re.h = ssta.NewHier(re.m, S, ssta.HierOptions{Workers: re.workers})
+		if re.rec != nil {
+			ssta.RecordGraphShape(re.m, re.rec)
+		}
+	} else {
+		s := re.h.Sizes()
+		moved := false
+		for i, id := range re.gates {
+			if s[id] != x[i] {
+				re.h.SetSize(id, x[i])
+				moved = true
+			}
+		}
+		if !moved {
+			return re.h.Tmax()
+		}
+		re.h.Update()
+	}
+	if re.rec != nil {
+		re.rec.Span("ssta.forward", time.Since(t0))
+		re.rec.Count("ssta.forward_sweeps", 1)
+	}
+	return re.h.Tmax()
 }
 
-// moments runs the forward sweep at the dense point x using the
-// caller-owned S scratch.
-func (re *reducedEval) moments(S, x []float64) (mu, variance float64) {
-	re.setS(S, x)
-	r := ssta.AnalyzeWorkersRec(re.m, S, false, re.workers, re.rec)
-	return r.Tmax.Mu, r.Tmax.Var
-}
-
-// gradMoments runs a taped sweep and the adjoint with the given seed,
-// scattering the result into the dense gradient g.
-func (re *reducedEval) gradMoments(S, x, g []float64, seedMu, seedVar float64) {
-	re.setS(S, x)
-	r := ssta.AnalyzeWorkersRec(re.m, S, true, re.workers, re.rec)
-	full := r.BackwardWorkersRec(re.m, S, seedMu, seedVar, re.workers, re.rec)
+// grad runs the adjoint sweep with the given seed on the engine's
+// standing tape, scattering d phi/d S into the dense gradient g. The
+// caller holds re.mu and has moved the engine to the point.
+func (re *reducedEval) grad(g []float64, seedMu, seedVar float64) {
+	var t0 time.Time
+	if re.rec != nil {
+		t0 = time.Now()
+	}
+	full := re.h.Backward(seedMu, seedVar)
 	for i, id := range re.gates {
 		g[i] = full[id]
+	}
+	if re.rec != nil {
+		re.rec.Span("ssta.adjoint", time.Since(t0))
+		re.rec.Count("ssta.adjoint_sweeps", 1)
 	}
 }
 
@@ -59,44 +106,49 @@ func (re *reducedEval) gradMoments(S, x, g []float64, seedMu, seedVar float64) {
 const sigmaFloor = 1e-9
 
 // muKSigmaElement returns an element computing
-// muTmax + k*sigmaTmax + shift over all speed factors. The captured S
-// buffer is private to the element.
+// muTmax + k*sigmaTmax + shift over all speed factors.
 func (re *reducedEval) muKSigmaElement(vars []int, k, shift float64) nlp.Element {
-	S := re.m.UnitSizes()
 	return nlp.Element{
 		Vars: vars,
 		Eval: func(x []float64) float64 {
-			mu, v := re.moments(S, x)
+			re.mu.Lock()
+			t := re.at(x)
+			re.mu.Unlock()
 			if k == 0 {
-				return mu + shift
+				return t.Mu + shift
 			}
-			return mu + k*math.Sqrt(v) + shift
+			return t.Mu + k*math.Sqrt(t.Var) + shift
 		},
 		Grad: func(x []float64, g []float64) {
+			re.mu.Lock()
+			defer re.mu.Unlock()
+			t := re.at(x)
 			if k == 0 {
-				re.gradMoments(S, x, g, 1, 0)
+				re.grad(g, 1, 0)
 				return
 			}
-			_, v := re.moments(S, x)
-			sigma := math.Max(math.Sqrt(v), sigmaFloor)
-			re.gradMoments(S, x, g, 1, k/(2*sigma))
+			sigma := math.Max(math.Sqrt(t.Var), sigmaFloor)
+			re.grad(g, 1, k/(2*sigma))
 		},
 	}
 }
 
 // sigmaElement returns an element computing sign * sigmaTmax.
 func (re *reducedEval) sigmaElement(vars []int, sign float64) nlp.Element {
-	S := re.m.UnitSizes()
 	return nlp.Element{
 		Vars: vars,
 		Eval: func(x []float64) float64 {
-			_, v := re.moments(S, x)
-			return sign * math.Sqrt(v)
+			re.mu.Lock()
+			t := re.at(x)
+			re.mu.Unlock()
+			return sign * math.Sqrt(t.Var)
 		},
 		Grad: func(x []float64, g []float64) {
-			_, v := re.moments(S, x)
-			sigma := math.Max(math.Sqrt(v), sigmaFloor)
-			re.gradMoments(S, x, g, 0, sign/(2*sigma))
+			re.mu.Lock()
+			defer re.mu.Unlock()
+			t := re.at(x)
+			sigma := math.Max(math.Sqrt(t.Var), sigmaFloor)
+			re.grad(g, 0, sign/(2*sigma))
 		},
 	}
 }
@@ -111,7 +163,7 @@ func solveReduced(ctx context.Context, m *delay.Model, spec Spec) (*nlp.Result, 
 	if n == 0 {
 		return nil, nil, fmt.Errorf("sizing: circuit has no gates")
 	}
-	re := &reducedEval{m: m, gates: gates, workers: spec.Workers, rec: spec.Recorder}
+	re := &reducedEval{m: m, gates: gates, workers: ssta.SweepWorkers(m, spec.Workers), rec: spec.Recorder}
 
 	vars := make([]int, n)
 	lower := make([]float64, n)

@@ -42,6 +42,18 @@ func resolveWorkers(workers int) int {
 	return workers
 }
 
+// SweepWorkers returns the worker count the sweeps run with on m:
+// workers resolved as above, and 1 on circuits below parallelMinNodes,
+// where the parallel schedule costs more than it spreads. Callers
+// that build a persistent engine per circuit (the reduced sizing
+// evaluator's Hier) use it to pick the same serial fallback.
+func SweepWorkers(m *delay.Model, workers int) int {
+	if len(m.G.C.Nodes) < parallelMinNodes {
+		return 1
+	}
+	return resolveWorkers(workers)
+}
+
 // runLevel executes fn(i) for every i in [0, n) on up to workers
 // goroutines (the caller included) and returns only when all calls
 // are done — the level barrier. Work is handed out as contiguous
@@ -79,12 +91,12 @@ func runLevel(workers, n int, fn func(int)) {
 // uses one worker per CPU, and small circuits fall back to the serial
 // sweep.
 func AnalyzeWorkers(m *delay.Model, S []float64, withTape bool, workers int) *Result {
-	workers = resolveWorkers(workers)
-	g := m.G
-	n := len(g.C.Nodes)
-	if workers == 1 || n < parallelMinNodes {
+	workers = SweepWorkers(m, workers)
+	if workers == 1 {
 		return Analyze(m, S, withTape)
 	}
+	g := m.G
+	n := len(g.C.Nodes)
 	r := &Result{
 		Arrival:   make([]stats.MV, n),
 		GateDelay: make([]stats.MV, n),

@@ -27,7 +27,7 @@ func AnalyzeWorkersRec(m *delay.Model, S []float64, withTape bool, workers int, 
 	r := AnalyzeWorkers(m, S, withTape, workers)
 	rec.Span("ssta.forward", time.Since(t0))
 	rec.Count("ssta.forward_sweeps", 1)
-	recordGraphShape(m, rec)
+	RecordGraphShape(m, rec)
 	return r
 }
 
@@ -52,10 +52,10 @@ func GradMuPlusKSigmaWorkersRec(m *delay.Model, S []float64, k float64, workers 
 	return phi, r.BackwardWorkersRec(m, S, sMu, sVar, workers, rec)
 }
 
-// recordGraphShape publishes the level structure driving the parallel
+// RecordGraphShape publishes the level structure driving the parallel
 // sweeps: level count, widest level, node count. The values are
 // properties of the compiled graph, so repeated sets are idempotent.
-func recordGraphShape(m *delay.Model, rec telemetry.Recorder) {
+func RecordGraphShape(m *delay.Model, rec telemetry.Recorder) {
 	g := m.G
 	maxw := 0
 	for _, b := range g.Levels {
