@@ -19,16 +19,18 @@ race:
 bench:
 	$(GO) test -run NONE -bench . -benchtime 1x ./...
 
-# bench-inc measures the incremental SSTA engine against the legacy
-# full-sweep path (single-gate gradient steps in internal/ssta, fixed
-# 64-step greedy runs in internal/sizing) and collects ns/op and
-# allocs/op into BENCH_incremental.json. The greedy pair must show the
-# incremental engine at least 2x faster on the 1200-gate netlist.
+# bench-inc measures the incremental SSTA engine: the
+# BenchmarkIncUpdate*/BenchmarkFullSweep* pair in internal/ssta
+# (single-gate gradient steps on the engine vs a fresh flat taped
+# sweep), the Inc/Hier session-nudge pair on k2 (BenchmarkIncNudgeK2,
+# BenchmarkHierNudgeK2) and the fixed 64-step greedy run in
+# internal/sizing. It collects ns/op, B/op and allocs/op into
+# BENCH_incremental.json.
 bench-inc:
-	$(GO) test -run NONE -bench 'Inc|FullSweep' -benchmem -count 1 \
+	$(GO) test -run NONE -bench 'Inc|FullSweep|NudgeK2' -benchmem -count 1 \
 		./internal/ssta/ ./internal/sizing/ | tee /tmp/bench-inc.txt
 	awk 'BEGIN { print "["; n = 0 } \
-		/^Benchmark(Inc|FullSweep|Greedy)/ { \
+		/^Benchmark(Inc|FullSweep|Greedy|HierNudge)/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); \
 			if (n++) printf ",\n"; \
 			printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \

@@ -202,7 +202,7 @@ func BenchmarkParallelSSTASweep(b *testing.B) {
 		for _, w := range benchWorkerCounts {
 			b.Run(fmt.Sprintf("%s/j%d", name, w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					sinkF = ssta.AnalyzeWorkers(m, S, false, w).Tmax.Mu
+					sinkF = ssta.AnalyzeWorkers(m, S, false, ssta.SweepOptions{Workers: w}).Tmax.Mu
 				}
 			})
 		}
@@ -223,7 +223,7 @@ func BenchmarkParallelGradient(b *testing.B) {
 	for _, w := range benchWorkerCounts {
 		b.Run(fmt.Sprintf("j%d", w), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				phi, grad := ssta.GradMuPlusKSigmaWorkers(m, S, 3, w)
+				phi, grad := ssta.GradMuPlusKSigmaWorkers(m, S, 3, ssta.SweepOptions{Workers: w})
 				sinkF = phi + grad[len(grad)-1]
 			}
 		})

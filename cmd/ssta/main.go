@@ -56,12 +56,14 @@ func main() {
 		ctx, cancel = context.WithTimeout(ctx, *timeout)
 		defer cancel()
 	}
-	// SIGINT/SIGTERM cancel the analysis context: the ctx-aware sweeps
-	// and the Monte Carlo shards observe it at their level/shard
-	// boundaries and the run exits through the non-zero status line in
-	// deadline() instead of dying mid-write.
+	// SIGINT/SIGTERM cancel the analysis context, and the whole run is
+	// under one watcher: a -timeout expiry or an interrupt exits through
+	// the non-zero status line in deadline() wherever the run is.
+	// Deferred after stopSignals, the watcher stands down first at a
+	// normal exit, so the deferred cancel cannot turn exit 0 into 2.
 	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
+	defer watchDeadline(ctx, deadline)()
 
 	var sinks []telemetry.Recorder
 	var trace *telemetry.TraceWriter
@@ -121,19 +123,7 @@ func main() {
 		circ.Name, stats.Gates, stats.Inputs, stats.Outputs, stats.Depth)
 
 	det := ssta.DetAnalyze(m, S)
-	// With a deadline the analytic sweep runs through the ctx-aware
-	// variant (cancellation polled at level boundaries); without one the
-	// recorded path is unchanged so traces stay byte-identical.
-	var r *ssta.Result
-	if *timeout > 0 {
-		var err error
-		r, err = ssta.AnalyzeWorkersCtx(ctx, m, S, false, *workers)
-		if err != nil {
-			deadline(err)
-		}
-	} else {
-		r = ssta.AnalyzeWorkersRec(m, S, false, *workers, rec)
-	}
+	r := ssta.AnalyzeWorkers(m, S, false, ssta.SweepOptions{Workers: *workers, Recorder: rec})
 	if rec != nil {
 		rec.Event("ssta", "result",
 			telemetry.F("det_tmax", det.Tmax),
@@ -193,7 +183,7 @@ func main() {
 	fmt.Printf("deterministic critical path: %s\n", strings.Join(names, " -> "))
 
 	if *critN > 0 {
-		crit := ssta.CriticalityWorkers(m, S, *workers)
+		crit := ssta.CriticalityWorkers(m, S, ssta.SweepOptions{Workers: *workers})
 		type gc struct {
 			name string
 			c    float64
@@ -213,14 +203,11 @@ func main() {
 	}
 
 	if *mcSamples > 0 {
-		cmp, err := montecarlo.CompareAnalyticCtx(ctx, m, S, r.Tmax, montecarlo.Options{
+		cmp, err := montecarlo.CompareAnalytic(m, S, r.Tmax, montecarlo.Options{
 			Samples: *mcSamples, Seed: *seed, KeepSamples: true, Workers: *workers,
 			Recorder: rec,
 		})
 		if err != nil {
-			if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-				deadline(err)
-			}
 			fatal(err)
 		}
 		if rec != nil {
@@ -287,6 +274,29 @@ func deadline(err error) {
 		fmt.Fprintln(os.Stderr, "ssta: wall-clock budget exhausted:", err)
 	}
 	os.Exit(2)
+}
+
+// watchDeadline calls exit(ctx.Err()) as soon as ctx ends, or when
+// the returned stop is called if ctx has ended by then. stop stands
+// the watcher down and waits for it, so exit is never called once
+// stop has returned.
+func watchDeadline(ctx context.Context, exit func(error)) (stop func()) {
+	done := make(chan struct{})
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		select {
+		case <-ctx.Done():
+		case <-done:
+		}
+		if err := ctx.Err(); err != nil {
+			exit(err)
+		}
+	}()
+	return func() {
+		close(done)
+		<-exited
+	}
 }
 
 func loadCircuit(name string) (*netlist.Circuit, *delay.Library, error) {

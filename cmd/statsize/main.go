@@ -176,7 +176,7 @@ func main() {
 	ctx, stopSignals := signal.NotifyContext(ctx, os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
 
-	unit := ssta.AnalyzeWorkersRec(m, m.UnitSizes(), false, *workers, rec).Tmax
+	unit := ssta.AnalyzeWorkers(m, m.UnitSizes(), false, ssta.SweepOptions{Workers: *workers, Recorder: rec}).Tmax
 	fmt.Printf("circuit %s: %d gates, %d inputs, %d outputs\n",
 		circ.Name, circ.NumGates(), circ.NumInputs(), len(circ.Outputs))
 	fmt.Printf("unsized:   mu = %.4f  sigma = %.4f  sum(Si) = %d\n",
@@ -230,7 +230,7 @@ func main() {
 			return
 		}
 		h := ssta.NewHier(m, S, ssta.HierOptions{BlockTarget: *blocksFlag, Workers: *workers})
-		flat := ssta.AnalyzeWorkers(m, S, false, *workers)
+		flat := ssta.AnalyzeWorkers(m, S, false, ssta.SweepOptions{Workers: *workers})
 		p := h.Partition()
 		if h.Tmax() != flat.Tmax {
 			fatal(fmt.Errorf("hierarchical verification diverged: blocked %+v flat %+v", h.Tmax(), flat.Tmax))

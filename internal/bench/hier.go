@@ -123,7 +123,7 @@ func RunHier(gates int, logf func(string, ...any)) (*HierResult, error) {
 			}
 			row := HierRow{Target: target, Blocks: len(h.Partition().Blocks), Workers: workers}
 			row.FlatFullNS = timeBest(3, func() {
-				ssta.GradMuPlusKSigmaWorkers(m, S, k, workers)
+				ssta.GradMuPlusKSigmaWorkers(m, S, k, ssta.SweepOptions{Workers: workers})
 			})
 			row.HierFullNS = timeBest(3, func() {
 				h.Resweep()
@@ -137,7 +137,7 @@ func RunHier(gates int, logf func(string, ...any)) (*HierResult, error) {
 				id := gateIDs[(step*7919)%len(gateIDs)]
 				flatS[id] = 1 + 0.3*float64(step%5)
 				step++
-				ssta.GradMuPlusKSigmaWorkers(m, flatS, k, workers)
+				ssta.GradMuPlusKSigmaWorkers(m, flatS, k, ssta.SweepOptions{Workers: workers})
 			})
 			step = 0
 			h.Resweep()

@@ -22,24 +22,55 @@ func greedyDeadline(t *testing.T, m *delay.Model, k float64) float64 {
 	return 0.5 * (unit.Mu + k*unit.Sigma() + lim.Mu + k*lim.Sigma())
 }
 
-// TestGreedyIncrementalMatchesFullSweeps asserts the incremental
-// engine path (the default) takes the exact same trajectory as the
-// legacy fresh-sweep-per-step path — same sizes bit for bit, same step
-// count — for serial and parallel workers.
-func TestGreedyIncrementalMatchesFullSweeps(t *testing.T) {
+// greedyOracle is the reference trajectory SizeGreedy must take: the
+// same sensitivity loop (default step and step budget, uniform
+// weights) with a fresh serial taped sweep plus adjoint
+// (ssta.GradMuPlusKSigma) at every step and no persistent engine.
+func greedyOracle(m *delay.Model, k, deadline float64) *GreedyResult {
+	gates := m.G.C.GateIDs()
+	S := m.UnitSizes()
+	res := &GreedyResult{}
+	for ; res.Steps < 200*len(gates); res.Steps++ {
+		phi, grad := ssta.GradMuPlusKSigma(m, S, k)
+		if phi <= deadline {
+			res.Met = true
+			break
+		}
+		best := -1
+		var bestScore float64
+		for _, id := range gates {
+			if S[id] < m.Limit-1e-12 && grad[id] < bestScore {
+				bestScore = grad[id]
+				best = int(id)
+			}
+		}
+		if best < 0 {
+			break
+		}
+		S[best] = min(S[best]*1.05, m.Limit)
+	}
+	m.ClampSizes(S)
+	r := ssta.Analyze(m, S, false)
+	res.S = S
+	res.MuTmax = r.Tmax.Mu
+	res.SigmaTmax = r.Tmax.Sigma()
+	res.Met = res.Met || res.MuTmax+k*res.SigmaTmax <= deadline
+	return res
+}
+
+// TestGreedyMatchesOracleLoop asserts SizeGreedy, running on the
+// incremental engine, takes the exact trajectory of the fresh-sweep
+// reference loop — same sizes bit for bit, same step count, same
+// final moments — for serial and parallel workers.
+func TestGreedyMatchesOracleLoop(t *testing.T) {
 	models := map[string]*delay.Model{
 		"tree":   treeModel(t),
 		"gen300": genModel(t, 300),
 	}
 	for name, m := range models {
 		d := greedyDeadline(t, m, 3)
+		ref := greedyOracle(m, 3, d)
 		for _, workers := range []int{1, 4} {
-			ref, err := SizeGreedy(m, GreedyOptions{
-				K: 3, Deadline: d, Workers: workers, FullSweeps: true,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			got, err := SizeGreedy(m, GreedyOptions{
 				K: 3, Deadline: d, Workers: workers,
 			})
@@ -48,13 +79,13 @@ func TestGreedyIncrementalMatchesFullSweeps(t *testing.T) {
 			}
 			if got.Steps != ref.Steps || got.Met != ref.Met ||
 				got.MuTmax != ref.MuTmax || got.SigmaTmax != ref.SigmaTmax {
-				t.Fatalf("%s/j%d: header differs: inc steps=%d met=%v mu=%v sigma=%v, full steps=%d met=%v mu=%v sigma=%v",
+				t.Fatalf("%s/j%d: header differs: greedy steps=%d met=%v mu=%v sigma=%v, oracle steps=%d met=%v mu=%v sigma=%v",
 					name, workers, got.Steps, got.Met, got.MuTmax, got.SigmaTmax,
 					ref.Steps, ref.Met, ref.MuTmax, ref.SigmaTmax)
 			}
 			for id := range ref.S {
 				if got.S[id] != ref.S[id] {
-					t.Fatalf("%s/j%d: S[%d] = %v != full-sweep %v",
+					t.Fatalf("%s/j%d: S[%d] = %v != oracle %v",
 						name, workers, id, got.S[id], ref.S[id])
 				}
 			}

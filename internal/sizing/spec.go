@@ -319,7 +319,7 @@ func SizeCtx(ctx context.Context, m *delay.Model, spec Spec) (*Outcome, error) {
 		}
 	}
 	m.ClampSizes(S)
-	r := ssta.AnalyzeWorkers(m, S, false, spec.Workers)
+	r := ssta.AnalyzeWorkers(m, S, false, ssta.SweepOptions{Workers: spec.Workers})
 	out := &Outcome{
 		S:         S,
 		MuTmax:    r.Tmax.Mu,

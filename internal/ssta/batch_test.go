@@ -225,7 +225,7 @@ func TestNonFiniteRiskFactorPanics(t *testing.T) {
 		{"NewDetBatch-negInf", func() { NewDetBatch(m, []float64{math.Inf(-1)}, 1) }},
 		{"Objective-NaN", func() { ObjectiveMuPlusKSigma(stats.MV{Mu: 1, Var: 1}, nan) }},
 		{"GradMuPlusKSigma-Inf", func() { GradMuPlusKSigma(m, S, inf) }},
-		{"GradWorkers-NaN", func() { GradMuPlusKSigmaWorkers(m, S, nan, 2) }},
+		{"GradWorkers-NaN", func() { GradMuPlusKSigmaWorkers(m, S, nan, SweepOptions{Workers: 2}) }},
 		{"GradScenario-NaN", func() { GradScenarioMuPlusKSigma(m, Scenario{S: S}, nan) }},
 		{"Batch-NaN", func() {
 			b := NewBatch(m, 1, BatchOptions{})

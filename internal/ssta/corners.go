@@ -49,7 +49,7 @@ func CornersWorkers(m *delay.Model, S []float64, k float64, workers int) *Corner
 	res := &CornerResult{K: k}
 	t := NewDetBatch(m, []float64{-k, 0, k}, workers).Sweep(S)
 	res.Best, res.Typical, res.Worst = t[0], t[1], t[2]
-	r := AnalyzeWorkers(m, S, false, workers)
+	r := AnalyzeWorkers(m, S, false, SweepOptions{Workers: workers})
 	res.StatQuantile = r.Tmax.Mu + k*r.Tmax.Sigma()
 	res.Pessimism = res.Worst - res.StatQuantile
 	return res

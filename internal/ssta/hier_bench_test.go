@@ -42,7 +42,7 @@ func benchFlatGrad(b *testing.B, workers int) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		GradMuPlusKSigmaWorkers(m, S, 3, workers)
+		GradMuPlusKSigmaWorkers(m, S, 3, SweepOptions{Workers: workers})
 	}
 }
 
@@ -78,7 +78,7 @@ func BenchmarkFlatStepGen100k(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		S[gates[(i*7919)%len(gates)]] = 1 + 0.3*float64(i%5)
-		GradMuPlusKSigmaWorkers(m, S, 3, 1)
+		GradMuPlusKSigmaWorkers(m, S, 3, SweepOptions{Workers: 1})
 	}
 }
 

@@ -3,9 +3,11 @@ package ssta
 import (
 	"runtime"
 	"sync"
+	"time"
 
 	"repro/internal/delay"
 	"repro/internal/stats"
+	"repro/internal/telemetry"
 )
 
 // The parallel sweeps exploit the levelized structure of the circuit:
@@ -86,11 +88,41 @@ func runLevel(workers, n int, fn func(int)) {
 	wg.Wait()
 }
 
+// SweepOptions configures the flat levelized sweeps: AnalyzeWorkers,
+// Result.BackwardWorkers, GradMuPlusKSigmaWorkers and
+// CriticalityWorkers.
+type SweepOptions struct {
+	// Workers bounds the parallelism: <= 0 uses one worker per CPU, 1
+	// forces the serial sweep. Results are bit-identical for any value.
+	Workers int
+	// Recorder, when non-nil, receives the "ssta.forward" and
+	// "ssta.adjoint" spans, the ssta.forward_sweeps and
+	// ssta.adjoint_sweeps counts and the graph-shape gauges
+	// (RecordGraphShape). All of it is wall-clock or aggregate data, so
+	// it flows to the metrics sinks only. Nil disables instrumentation
+	// at the cost of one branch.
+	Recorder telemetry.Recorder
+}
+
 // AnalyzeWorkers is the levelized parallel variant of Analyze. The
-// result is bit-identical to Analyze for any worker count; workers <= 0
-// uses one worker per CPU, and small circuits fall back to the serial
-// sweep.
-func AnalyzeWorkers(m *delay.Model, S []float64, withTape bool, workers int) *Result {
+// result is bit-identical to Analyze for any worker count, and small
+// circuits fall back to the serial sweep.
+func AnalyzeWorkers(m *delay.Model, S []float64, withTape bool, opt SweepOptions) *Result {
+	rec := opt.Recorder
+	if rec == nil {
+		return analyzeLevels(m, S, withTape, opt.Workers)
+	}
+	t0 := time.Now()
+	r := analyzeLevels(m, S, withTape, opt.Workers)
+	rec.Span("ssta.forward", time.Since(t0))
+	rec.Count("ssta.forward_sweeps", 1)
+	RecordGraphShape(m, rec)
+	return r
+}
+
+// analyzeLevels is the uninstrumented forward sweep behind
+// AnalyzeWorkers.
+func analyzeLevels(m *delay.Model, S []float64, withTape bool, workers int) *Result {
 	workers = SweepWorkers(m, workers)
 	if workers == 1 {
 		return Analyze(m, S, withTape)
@@ -119,19 +151,44 @@ func AnalyzeWorkers(m *delay.Model, S []float64, withTape bool, workers int) *Re
 // node's fanin contributions into per-node scratch; after the level
 // barrier the contributions are applied serially in bucket order, so
 // every floating-point accumulation happens in the same order as the
-// serial sweep.
-func (r *Result) BackwardWorkers(m *delay.Model, S []float64, seedMu, seedVar float64, workers int) []float64 {
-	if !r.withTape {
-		panic("ssta: BackwardWorkers requires a taped Analyze")
-	}
+// serial sweep. It panics unless r was produced with a tape.
+func (r *Result) BackwardWorkers(m *delay.Model, S []float64, seedMu, seedVar float64, opt SweepOptions) []float64 {
 	var sc adjointScratch
-	return r.backwardInto(m, S, seedMu, seedVar, resolveWorkers(workers), &sc)
+	return r.adjoint(m, S, seedMu, seedVar, opt, &sc)
+}
+
+// adjoint runs the levelized adjoint sweep into sc under opt.
+func (r *Result) adjoint(m *delay.Model, S []float64, seedMu, seedVar float64, opt SweepOptions, sc *adjointScratch) []float64 {
+	workers := SweepWorkers(m, opt.Workers)
+	rec := opt.Recorder
+	if rec == nil {
+		return r.backwardInto(m, S, seedMu, seedVar, workers, sc)
+	}
+	t0 := time.Now()
+	grad := r.backwardInto(m, S, seedMu, seedVar, workers, sc)
+	rec.Span("ssta.adjoint", time.Since(t0))
+	rec.Count("ssta.adjoint_sweeps", 1)
+	return grad
 }
 
 // GradMuPlusKSigmaWorkers is GradMuPlusKSigma on the parallel sweeps:
 // one taped levelized forward pass plus one levelized adjoint pass.
-func GradMuPlusKSigmaWorkers(m *delay.Model, S []float64, k float64, workers int) (float64, []float64) {
-	r := AnalyzeWorkers(m, S, true, workers)
+func GradMuPlusKSigmaWorkers(m *delay.Model, S []float64, k float64, opt SweepOptions) (float64, []float64) {
+	r := AnalyzeWorkers(m, S, true, opt)
 	phi, sMu, sVar := ObjectiveMuPlusKSigma(r.Tmax, k)
-	return phi, r.BackwardWorkers(m, S, sMu, sVar, workers)
+	return phi, r.BackwardWorkers(m, S, sMu, sVar, opt)
+}
+
+// RecordGraphShape publishes the level structure driving the parallel
+// sweeps: level count, widest level, node count. The values are
+// properties of the compiled graph, so repeated sets are idempotent.
+func RecordGraphShape(m *delay.Model, rec telemetry.Recorder) {
+	g := m.G
+	maxw := 0
+	for _, b := range g.Levels {
+		maxw = max(maxw, len(b))
+	}
+	rec.Gauge("ssta.levels", float64(len(g.Levels)))
+	rec.Gauge("ssta.max_level_width", float64(maxw))
+	rec.Gauge("ssta.nodes", float64(len(g.C.Nodes)))
 }

@@ -46,7 +46,7 @@ func Slacks(m *delay.Model, S []float64, k, deadline float64) *SlackResult {
 func SlacksWorkers(m *delay.Model, S []float64, k, deadline float64, workers int) *SlackResult {
 	g := m.G
 	n := len(g.C.Nodes)
-	fw := AnalyzeWorkers(m, S, false, workers)
+	fw := AnalyzeWorkers(m, S, false, SweepOptions{Workers: workers})
 
 	req := make([]float64, n)
 	for i := range req {

@@ -377,7 +377,7 @@ func GradMuPlusKSigma(m *delay.Model, S []float64, k float64) (float64, []float6
 // over competing paths — the "statistical criticality" used for
 // reporting in cmd/ssta.
 func Criticality(m *delay.Model, S []float64) []float64 {
-	return CriticalityWorkers(m, S, 1)
+	return CriticalityWorkers(m, S, SweepOptions{Workers: 1})
 }
 
 // CriticalityWorkers is Criticality on the shared workers-aware
@@ -386,10 +386,10 @@ func Criticality(m *delay.Model, S []float64) []float64 {
 // criticality is exactly the gate's mean-delay adjoint under the
 // (d muTmax, d varTmax) = (1, 0) seed, which the adjoint sweep
 // records as a byproduct.
-func CriticalityWorkers(m *delay.Model, S []float64, workers int) []float64 {
-	r := AnalyzeWorkers(m, S, true, workers)
+func CriticalityWorkers(m *delay.Model, S []float64, opt SweepOptions) []float64 {
+	r := AnalyzeWorkers(m, S, true, opt)
 	var sc adjointScratch
-	r.backwardInto(m, S, 1, 0, resolveWorkers(workers), &sc)
+	r.adjoint(m, S, 1, 0, opt, &sc)
 	crit := make([]float64, len(sc.dmu))
 	copy(crit, sc.dmu)
 	return crit
