@@ -38,20 +38,20 @@ bench-inc:
 		END { print "\n]" }' /tmp/bench-inc.txt > BENCH_incremental.json
 	cat BENCH_incremental.json
 
-# bench-batch measures the K-lane structure-of-arrays sweeps against
-# K independent scalar traversals on the 1200-gate netlist — the
-# deterministic corner k-sweep (DetBatch), the statistical scenario
-# sweep (Batch forward and forward+adjoint) and the batched Monte
-# Carlo shard runner — and collects ns/op, allocs/op and the derived
-# K=8 speedups into BENCH_batch.json. The corner pair must show the
-# batched path at least 4x faster at K=8.
+# bench-batch measures the K-lane structure-of-arrays sweeps on the
+# 1200-gate netlist: the deterministic corner k-sweep against K
+# independent scalar traversals, and one 4096-sample shard of the
+# lane-blocked Monte Carlo runner. It collects ns/op, B/op and
+# allocs/op plus the derived K=8 corner speedup into BENCH_batch.json.
+# The speedup is recorded, not gated; the zero-allocation warm corner
+# sweep is enforced by TestDetBatchWarmSweepAllocFree.
 bench-batch:
-	$(GO) test -run NONE -bench 'Corner(Scalar|Batch)|Forward(Scalar|Batch)|GradBatch' \
+	$(GO) test -run NONE -bench 'Corner(Scalar|Batch)' \
 		-benchmem -count 1 ./internal/ssta/ | tee /tmp/bench-batch.txt
-	$(GO) test -run NONE -bench 'MCLanes' -benchmem -count 1 \
+	$(GO) test -run NONE -bench 'MCShard' -benchmem -count 1 \
 		./internal/montecarlo/ | tee -a /tmp/bench-batch.txt
 	awk 'BEGIN { print "["; n = 0 } \
-		/^Benchmark(Corner|Forward|Grad|MCLanes)/ { \
+		/^Benchmark(Corner|MCShard)/ { \
 			name = $$1; sub(/-[0-9]+$$/, "", name); ns[name] = $$3; \
 			if (n++) printf ",\n"; \
 			printf "  {\"name\": \"%s\", \"ns_per_op\": %s, \"bytes_per_op\": %s, \"allocs_per_op\": %s}", \
@@ -60,12 +60,6 @@ bench-batch:
 			if (ns["BenchmarkCornerBatchK8Gen1200"]) \
 				printf ",\n  {\"name\": \"CornerK8Speedup\", \"speedup\": %.2f}", \
 					ns["BenchmarkCornerScalarX8Gen1200"] / ns["BenchmarkCornerBatchK8Gen1200"]; \
-			if (ns["BenchmarkForwardBatchK8Gen1200"]) \
-				printf ",\n  {\"name\": \"ForwardK8Speedup\", \"speedup\": %.2f}", \
-					ns["BenchmarkForwardScalarX8Gen1200"] / ns["BenchmarkForwardBatchK8Gen1200"]; \
-			if (ns["BenchmarkMCLanes8Gen1200"]) \
-				printf ",\n  {\"name\": \"MCLanes8Speedup\", \"speedup\": %.2f}", \
-					ns["BenchmarkMCLanes1Gen1200"] / ns["BenchmarkMCLanes8Gen1200"]; \
 			print "\n]" }' /tmp/bench-batch.txt > BENCH_batch.json
 	cat BENCH_batch.json
 
@@ -77,9 +71,9 @@ bench-batch:
 # Each benchmark runs 3 times and the minimum ns/op is kept (the same
 # min-of-N noise suppression as internal/bench.timeBest). The results
 # (ns/op, B/op, allocs/op and the derived speedups) land in
-# BENCH_hier.json; the macro-replay step must be at least 3x faster
-# than the flat full resweep, and the warm serial hierarchical sweeps
-# must report zero allocations.
+# BENCH_hier.json. The macro-replay speedup over the flat full
+# resweep is recorded, not gated; the zero-allocation warm serial
+# hierarchical sweeps are enforced by TestHierSteadyStateAllocFree.
 bench-hier:
 	$(GO) test -run NONE -bench 'Gen100k' -benchmem -count 3 -timeout 30m \
 		./internal/ssta/ | tee /tmp/bench-hier.txt
@@ -167,13 +161,13 @@ test-hier:
 	$(GO) test -race -timeout 5m -run 'Hier|Partition|GenerateStream|GenPreset' \
 		./internal/ssta/ ./internal/partition/ ./internal/netlist/
 
-# test-batch runs the batch equivalence suite — bit-identity of the
-# K-lane statistical/deterministic/Monte Carlo sweeps against
-# independent scalar runs, the quantile edge-case tables and the
-# risk-factor guards — under the race detector (the CI batch job).
+# test-batch runs the lane equivalence suite — bit-identity of the
+# K-lane corner sweep and the lane-blocked Monte Carlo runner against
+# scalar references, the quantile edge-case tables and the risk-factor
+# guards — under the race detector (the CI batch job).
 test-batch:
 	$(GO) test -race -timeout 5m \
-		-run 'Batch|KSweep|Corners|NonFinite|LaneWidth|QuantileMaxN|Scenario' \
+		-run 'DetBatch|KSweep|Corners|NonFinite|LaneWidth|QuantileMaxN' \
 		./internal/ssta/ ./internal/montecarlo/ ./internal/stats/
 
 # test-service runs the sizing-as-a-service suite under the race

@@ -163,8 +163,6 @@ func attribution(events []telemetry.TraceEvent) []phase {
 			add("hier.block", "gates swept", 1, get(e, "gates"))
 		case "hier.sweep":
 			add("hier.sweep", "nodes", 1, get(e, "nodes"))
-		case "batch.sweep":
-			add("batch.sweep", "lane-nodes", 1, get(e, "lanes")*get(e, "nodes"))
 		case "greedy.step":
 			add("greedy.step", "steps", 1, 1)
 		case "mc.result":
@@ -344,8 +342,6 @@ func writeFlame(w io.Writer, events []telemetry.TraceEvent, spans []spanRow) {
 			add("hier.sweep;hier.block", get(e, "gates"))
 		case "hier.update":
 			add("hier.sweep;hier.update", get(e, "changed"))
-		case "batch.sweep":
-			add("batch.sweep", get(e, "lanes")*get(e, "nodes"))
 		case "greedy.step":
 			add("greedy;greedy.step", 1)
 		case "mc.result":

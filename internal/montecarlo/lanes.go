@@ -7,49 +7,45 @@ import (
 	"repro/internal/netlist"
 )
 
-// This file holds the batched shard runner: instead of propagating
-// one sample per topology walk, a shard propagates blocks of K
-// samples over K-strided structure-of-arrays slabs
-// (slab[int(id)*K + lane], the layout shared with ssta.Batch), so one
-// traversal's graph overhead — node metadata, fanin walks, pin
-// offsets — is amortized across K samples and the per-node inner
-// loops run over contiguous spans.
+// This file holds the shard runner: instead of propagating one sample
+// per topology walk, a shard propagates blocks of laneWidth samples
+// over lane-strided structure-of-arrays slabs (slab[int(id)*K + lane],
+// the layout shared with the deterministic corner sweep of
+// internal/ssta), so one traversal's graph overhead — node metadata,
+// fanin walks, pin offsets — is amortized across the block and the
+// per-node inner loops run over contiguous spans.
 //
-// Bit-identity: the random values are drawn in exactly the scalar
-// order (sample-major: for each sample in turn, one normal variate
-// per node in topo order) and only then propagated lane-parallel, and
-// each lane's propagation performs the scalar loop's floating-point
-// operations in the scalar order. The Welford update consumes the
-// block's circuit delays in sample order. A batched run is therefore
-// bit-identical to the scalar path for every (LaneWidth, Workers)
-// pair.
+// Bit-identity: the random values are drawn in exactly the
+// one-sample-at-a-time order (sample-major: for each sample in turn,
+// one normal variate per node in topo order) and only then propagated
+// lane-parallel, and each lane's propagation performs the per-sample
+// loop's floating-point operations in the same order. The Welford
+// update consumes the block's circuit delays in sample order. A run is
+// therefore bit-identical to the scalar per-sample reference kept in
+// lanes_test.go, for every worker count.
 
-// defaultLaneWidth is the block size used when Options.LaneWidth is
-// unset. Eight lanes fill a cache line per node visit and measure
+// laneWidth is the number of samples a shard propagates per node
+// visit. Eight lanes fill a cache line per node visit and measure
 // near the knee of the amortization curve on the benchmark netlists.
-const defaultLaneWidth = 8
+const laneWidth = 8
 
-// mcScratch is one worker's reusable slabs: arr doubles as the scalar
-// arrival array (K == 1) and the K-strided lane arrival slab; vals
-// holds a block's pre-drawn per-node values (input arrivals and gate
-// delays), K-strided.
+// mcScratch is one worker's reusable slabs: arr is the lane-strided
+// arrival slab and vals holds a block's pre-drawn per-node values
+// (input arrivals and gate delays), lane-strided.
 type mcScratch struct {
 	arr  []float64
 	vals []float64
 }
 
-func newMCScratch(n, K int) *mcScratch {
-	sc := &mcScratch{arr: make([]float64, n*K)}
-	if K > 1 {
-		sc.vals = make([]float64, n*K)
-	}
-	return sc
+func newMCScratch(n int) *mcScratch {
+	return &mcScratch{arr: make([]float64, n*laneWidth), vals: make([]float64, n*laneWidth)}
 }
 
 // runShardLanes draws and propagates one shard's count samples in
-// blocks of up to K lanes.
+// blocks of up to laneWidth lanes.
 func runShardLanes(m *delay.Model, gateMu, gateSigma []float64, opt Options,
-	K int, sc *mcScratch, count int, sm *shardMoments, rng *rand.Rand) {
+	sc *mcScratch, count int, sm *shardMoments, rng *rand.Rand) {
+	const K = laneWidth
 	g := m.G
 	arr, vals := sc.arr, sc.vals
 	for s0 := 0; s0 < count; s0 += K {

@@ -7,12 +7,10 @@ import (
 	"repro/internal/netlist"
 )
 
-// The MCLane benchmarks measure the batched shard runner against the
-// scalar per-sample loop on the 1200-gate netlist; both draw the same
-// 4096-sample shard, so ns/op is directly comparable and the scalar/
-// lane ratio is the batching speedup collected by `make bench-batch`.
-
-func benchMCLanes(b *testing.B, laneWidth int) {
+// BenchmarkMCShardGen1200 measures one full 4096-sample shard of the
+// lane-blocked runner on the 1200-gate netlist, single worker; `make
+// bench-batch` records it in BENCH_batch.json.
+func BenchmarkMCShardGen1200(b *testing.B) {
 	gen, err := netlist.Generate(netlist.GenSpec{
 		Name: "par1200", Gates: 1200, Inputs: 48, Outputs: 12,
 		Depth: 18, MaxFanin: 4, Seed: 1234,
@@ -22,7 +20,7 @@ func benchMCLanes(b *testing.B, laneWidth int) {
 	}
 	m := delay.MustBind(netlist.MustCompile(gen), delay.Default())
 	S := m.UnitSizes()
-	opt := Options{Samples: 4096, Seed: 7, Workers: 1, LaneWidth: laneWidth}
+	opt := Options{Samples: shardSamples, Seed: 7, Workers: 1}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -31,7 +29,3 @@ func benchMCLanes(b *testing.B, laneWidth int) {
 		}
 	}
 }
-
-func BenchmarkMCLanes1Gen1200(b *testing.B) { benchMCLanes(b, 1) }
-func BenchmarkMCLanes4Gen1200(b *testing.B) { benchMCLanes(b, 4) }
-func BenchmarkMCLanes8Gen1200(b *testing.B) { benchMCLanes(b, 8) }

@@ -28,26 +28,22 @@ type CornerResult struct {
 // Corners runs the three deterministic corner sweeps plus the
 // statistical sweep at quantile multiplier k. A non-finite k panics
 // (see checkRiskFactor); the sign of k is ignored — corners are
-// symmetric by construction, so Corners(m, S, -3) is Corners(m, S, 3),
-// keeping the Best <= Worst invariant instead of silently swapping
-// the corners' meanings.
-func Corners(m *delay.Model, S []float64, k float64) *CornerResult {
-	return CornersWorkers(m, S, k, 1)
-}
-
-// CornersWorkers is Corners with the three deterministic corners
-// evaluated as lanes of one batched sweep (DetBatch) — one traversal
-// computing each gate's delay distribution once for all three risk
-// levels — and the statistical sweep routed through the shared
+// symmetric by construction, so Corners(m, S, -3, w) is
+// Corners(m, S, 3, w), keeping the Best <= Worst invariant instead of
+// silently swapping the corners' meanings.
+//
+// The three corners are lanes of one batched sweep (detBatch) — one
+// traversal computing each gate's delay distribution once for all
+// three risk levels — and the statistical sweep runs on the shared
 // workers-aware entry point (AnalyzeWorkers). Results are
 // bit-identical to three scalar corner sweeps for any worker count.
-func CornersWorkers(m *delay.Model, S []float64, k float64, workers int) *CornerResult {
+func Corners(m *delay.Model, S []float64, k float64, workers int) *CornerResult {
 	checkRiskFactor(k, "Corners")
 	if k < 0 {
 		k = -k
 	}
 	res := &CornerResult{K: k}
-	t := NewDetBatch(m, []float64{-k, 0, k}, workers).Sweep(S)
+	t := newDetBatch(m, []float64{-k, 0, k}, workers).Sweep(S)
 	res.Best, res.Typical, res.Worst = t[0], t[1], t[2]
 	r := AnalyzeWorkers(m, S, false, SweepOptions{Workers: workers})
 	res.StatQuantile = r.Tmax.Mu + k*r.Tmax.Sigma()

@@ -17,7 +17,7 @@ func TestCornersOrdering(t *testing.T) {
 		}
 		m := delay.MustBind(netlist.MustCompile(c), lib)
 		S := m.UnitSizes()
-		cr := Corners(m, S, 3)
+		cr := Corners(m, S, 3, 1)
 		if !(cr.Best < cr.Typical && cr.Typical < cr.Worst) {
 			t.Errorf("%s: corners not ordered: %v %v %v", c.Name, cr.Best, cr.Typical, cr.Worst)
 		}
@@ -35,7 +35,7 @@ func TestCornerPessimismGrowsWithDepth(t *testing.T) {
 	// statistically, so the relative pessimism grows with depth.
 	rel := func(n int) float64 {
 		m := delay.MustBind(netlist.MustCompile(netlist.Chain(n)), delay.Default())
-		cr := Corners(m, m.UnitSizes(), 3)
+		cr := Corners(m, m.UnitSizes(), 3, 1)
 		return cr.Pessimism / cr.Typical
 	}
 	if !(rel(4) < rel(16) && rel(16) < rel(64)) {
@@ -49,7 +49,7 @@ func TestStatQuantileCalibratedOnChain(t *testing.T) {
 	// mu + 3*sigma, while the worst corner overshoots it.
 	m := delay.MustBind(netlist.MustCompile(netlist.Chain(12)), delay.Default())
 	S := m.UnitSizes()
-	cr := Corners(m, S, 3)
+	cr := Corners(m, S, 3, 1)
 	mc, err := montecarlo.Run(m, S, montecarlo.Options{
 		Samples: 200000, Seed: 3, KeepSamples: true,
 	})
@@ -68,7 +68,7 @@ func TestStatQuantileCalibratedOnChain(t *testing.T) {
 func TestCornerWithZeroSigmaCollapses(t *testing.T) {
 	m := delay.MustBind(netlist.MustCompile(netlist.Tree7()), delay.PaperTree())
 	m.Sigma = delay.Zero{}
-	cr := Corners(m, m.UnitSizes(), 3)
+	cr := Corners(m, m.UnitSizes(), 3, 1)
 	if cr.Best != cr.Worst || cr.Pessimism != 0 {
 		t.Errorf("zero sigma: %+v", cr)
 	}
@@ -88,7 +88,7 @@ func TestCornerClampsInputArrivals(t *testing.T) {
 			m.Arrival[i] = stats.MV{Mu: 0.1, Var: 4} // mu - 3*sigma = -5.9
 		}
 	}
-	cr := Corners(m, m.UnitSizes(), 3)
+	cr := Corners(m, m.UnitSizes(), 3, 1)
 	if cr.Best < 0 {
 		t.Fatalf("best corner went negative: %v", cr.Best)
 	}
@@ -103,7 +103,7 @@ func TestCornerClampsInputArrivals(t *testing.T) {
 			m.Arrival[i] = stats.MV{}
 		}
 	}
-	if ref := Corners(m, m.UnitSizes(), 3); cr.Best != ref.Best {
+	if ref := Corners(m, m.UnitSizes(), 3, 1); cr.Best != ref.Best {
 		t.Fatalf("clamped best corner %v, want the t=0 reference %v", cr.Best, ref.Best)
 	}
 }

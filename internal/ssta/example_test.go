@@ -33,7 +33,7 @@ func ExampleGradMuPlusKSigma() {
 // timing (the paper's introduction).
 func ExampleCorners() {
 	m := delay.MustBind(netlist.MustCompile(netlist.Chain(16)), delay.Default())
-	cr := ssta.Corners(m, m.UnitSizes(), 3)
+	cr := ssta.Corners(m, m.UnitSizes(), 3, 1)
 	fmt.Printf("worst corner exceeds the true 99.8%% quantile: %v\n",
 		cr.Pessimism > 0)
 	// Output:

@@ -7,16 +7,16 @@ import (
 	"repro/internal/netlist"
 )
 
-// DetBatch is the deterministic sibling of Batch: a K-lane
-// structure-of-arrays sweep where every lane is a corner at a
-// different risk level k, all sharing one speed-factor assignment.
-// The expensive per-gate work — the fanout load scan and the sigma
-// model behind GateMV — runs once per node visit and is amortized
-// across all lanes (CornerDelayLanes), which is where the batched
-// corner sweep earns its speedup. The slab layout is the shared
-// lane-stride contract slab[int(id)*K + lane]; lane l is
-// bit-identical to the scalar cornerSweep at ks[l] by construction.
-type DetBatch struct {
+// detBatch is a K-lane structure-of-arrays deterministic sweep where
+// every lane is a corner at a different risk level k, all sharing one
+// speed-factor assignment. The expensive per-gate work — the fanout
+// load scan and the sigma model behind GateMV — runs once per node
+// visit and is amortized across all lanes, which is where the batched
+// corner sweep earns its speedup. The slab layout is the lane-stride
+// contract slab[int(id)*K + lane] that the Monte Carlo shard runner
+// shares; lane l is bit-identical to the scalar cornerSweep at ks[l]
+// by construction. KSweep and Corners are its only entry points.
+type detBatch struct {
 	m       *delay.Model
 	ks      []float64
 	workers int
@@ -24,17 +24,17 @@ type DetBatch struct {
 	tmax    []float64
 }
 
-// NewDetBatch builds a corner-sweep engine with one lane per risk
+// newDetBatch builds a corner-sweep engine with one lane per risk
 // level in ks (copied; non-finite levels are rejected).
-func NewDetBatch(m *delay.Model, ks []float64, workers int) *DetBatch {
+func newDetBatch(m *delay.Model, ks []float64, workers int) *detBatch {
 	if len(ks) == 0 {
-		panic("ssta: NewDetBatch needs at least one risk level")
+		panic("ssta: KSweep needs at least one risk level")
 	}
 	for _, k := range ks {
-		checkRiskFactor(k, "NewDetBatch")
+		checkRiskFactor(k, "KSweep")
 	}
 	n := len(m.G.C.Nodes)
-	b := &DetBatch{
+	b := &detBatch{
 		m:       m,
 		ks:      append([]float64(nil), ks...),
 		workers: resolveWorkers(workers),
@@ -53,7 +53,7 @@ func NewDetBatch(m *delay.Model, ks []float64, workers int) *DetBatch {
 // inner loop walks two contiguous K-spans — the layout the batching
 // exists for — and the gate's delay distribution is computed once for
 // all lanes.
-func (b *DetBatch) sweepNode(id netlist.NodeID, S []float64) {
+func (b *detBatch) sweepNode(id netlist.NodeID, S []float64) {
 	K := len(b.ks)
 	m := b.m
 	nd := &m.G.C.Nodes[id]
@@ -169,10 +169,10 @@ func (b *DetBatch) sweepNode(id netlist.NodeID, S []float64) {
 // per-lane circuit delay (engine-owned, overwritten by the next
 // Sweep). Allocation-free when warm with workers == 1; bit-identical
 // for every worker count.
-func (b *DetBatch) Sweep(S []float64) []float64 {
+func (b *detBatch) Sweep(S []float64) []float64 {
 	g := b.m.G
 	if len(S) != len(g.C.Nodes) {
-		panic(fmt.Sprintf("ssta: DetBatch.Sweep got %d sizes for %d nodes",
+		panic(fmt.Sprintf("ssta: corner sweep got %d sizes for %d nodes",
 			len(S), len(g.C.Nodes)))
 	}
 	if b.workers == 1 {
@@ -200,14 +200,10 @@ func (b *DetBatch) Sweep(S []float64) []float64 {
 	return b.tmax
 }
 
-// Ks returns the engine's risk levels (engine-owned; do not mutate).
-func (b *DetBatch) Ks() []float64 { return b.ks }
-
 // KSweep evaluates the deterministic corner sweep at every risk level
 // in ks in one batched traversal and returns the per-lane circuit
-// delays — the one-shot form of DetBatch for callers without an
-// evaluation loop. Non-finite risk levels panic; lane l is
+// delays. Non-finite risk levels panic; lane l is
 // bit-identical to a scalar corner sweep at ks[l].
 func KSweep(m *delay.Model, S []float64, ks []float64, workers int) []float64 {
-	return append([]float64(nil), NewDetBatch(m, ks, workers).Sweep(S)...)
+	return append([]float64(nil), newDetBatch(m, ks, workers).Sweep(S)...)
 }
